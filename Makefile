@@ -1,7 +1,7 @@
 # Tier-1 verification in one command: `make check`.
 GO ?= go
 
-.PHONY: check build vet test race fmt bench bench-smoke bench-diff smoke
+.PHONY: check build vet test race fmt bench bench-smoke bench-diff smoke perfbench
 
 check: fmt build vet test race
 
@@ -56,3 +56,12 @@ bench-diff:
 # runs one check, and asserts a clean SIGTERM drain.
 smoke:
 	GO="$(GO)" ./scripts/daemon_smoke.sh
+
+# perfbench runs one workload of the repository benchmark (see
+# perfbench/README.md) on this checkout with tracing off, e.g.
+#   make perfbench W=oneshot-dense SEED=3
+# The last line of its output is the JSON record of end-to-end metrics.
+W ?= oneshot-sparse
+SEED ?= 1
+perfbench:
+	bash perfbench/run.sh --workload $(W) --seed $(SEED) --seconds 20 --trace 0

@@ -335,6 +335,7 @@ func reportReuse(b *testing.B, st muppet.ReuseStats) {
 	b.ReportMetric(float64(st.Encoding.CircuitNodes), "circuit-nodes")
 	b.ReportMetric(float64(st.Encoding.SolverVars), "solver-vars")
 	b.ReportMetric(float64(st.Encoding.SolverClauses), "solver-clauses")
+	b.ReportMetric(float64(st.Encoding.SimpRuns), "simp-runs")
 	b.ReportMetric(float64(st.Encoding.VarsEliminated), "vars-eliminated")
 	b.ReportMetric(float64(st.Encoding.ClausesRemoved), "clauses-removed")
 	b.ReportMetric(float64(st.Encoding.ArenaBytes), "arena-bytes")

@@ -384,8 +384,8 @@ func printReuse(st muppet.ReuseStats, workers []muppet.WorkerStats) {
 	fmt.Printf("// sessions: %d built, %d reused; translation cache: %d pointer hits, %d structural hits, %d misses\n",
 		st.Sessions, st.Reuses, t.PointerHits, t.StructHits, t.Misses)
 	e := st.Encoding
-	fmt.Printf("// encoding: %d circuit nodes, %d vars, %d clauses; preprocessing eliminated %d vars, removed %d clauses\n",
-		e.CircuitNodes, e.SolverVars, e.SolverClauses, e.VarsEliminated, e.ClausesRemoved)
+	fmt.Printf("// encoding: %d circuit nodes, %d vars, %d clauses; preprocessing ran %d passes, eliminated %d vars, removed %d clauses\n",
+		e.CircuitNodes, e.SolverVars, e.SolverClauses, e.SimpRuns, e.VarsEliminated, e.ClausesRemoved)
 	for _, w := range workers {
 		mark := " "
 		if w.Winner {

@@ -68,10 +68,13 @@ type EncodingStats struct {
 	// LearntClauses counts live learnt clauses — the part of the clause
 	// database that grows with search effort on a warm session.
 	LearntClauses int64
-	// VarsEliminated is the number of variables currently eliminated by
-	// CNF preprocessing; ClausesRemoved accumulates clauses it removed.
-	// Restored counts variables un-eliminated because an incremental
-	// addition (a delta re-assertion, typically) touched them.
+	// SimpRuns counts full CNF preprocessing passes (before search, and
+	// the in-search BVE re-runs). VarsEliminated is the number of
+	// variables currently eliminated by them; ClausesRemoved accumulates
+	// clauses they removed. Restored counts variables un-eliminated
+	// because an incremental addition (a delta re-assertion, typically)
+	// touched them.
+	SimpRuns       int64
 	VarsEliminated int64
 	ClausesRemoved int64
 	Restored       int64
@@ -110,6 +113,7 @@ func (e *EncodingStats) add(t EncodingStats) {
 	e.SolverVars += t.SolverVars
 	e.SolverClauses += t.SolverClauses
 	e.LearntClauses += t.LearntClauses
+	e.SimpRuns += t.SimpRuns
 	e.VarsEliminated += t.VarsEliminated
 	e.ClausesRemoved += t.ClausesRemoved
 	e.Restored += t.Restored
@@ -128,6 +132,7 @@ func sessionEncodingStats(ss *relational.Session) EncodingStats {
 		SolverVars:     int64(s.NumVars()),
 		SolverClauses:  int64(s.NumClauses()),
 		LearntClauses:  int64(s.NumLearnts()),
+		SimpRuns:       s.Stats.SimpRuns,
 		VarsEliminated: s.Stats.SimpVarsEliminated,
 		ClausesRemoved: s.Stats.SimpClausesRemoved,
 		Restored:       s.Stats.SimpRestored,

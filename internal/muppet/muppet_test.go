@@ -1,6 +1,7 @@
 package muppet
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"muppet/internal/goals"
 	"muppet/internal/mesh"
 	"muppet/internal/relational"
+	"muppet/internal/sat"
 	"muppet/internal/scenario"
 )
 
@@ -690,4 +692,46 @@ func generateScenario(t *testing.T, seed int64) *scenario.Scenario {
 		BannedPorts:     1,
 		Seed:            seed,
 	})
+}
+
+// TestOneShotReconcilePreprocessesOnce pins DESIGN §11's "once, early"
+// contract on a descending query: a one-shot reconcile that needs edits
+// preprocesses the hardened database once, and the descent's totalizer —
+// frozen outputs over frozen soft literals, nothing to eliminate — does
+// not trigger a second full pass.
+func TestOneShotReconcilePreprocessesOnce(t *testing.T) {
+	sc := scenario.Generate(scenario.Params{
+		Services:        8,
+		PortsPerService: 2,
+		Flows:           8,
+		BannedPorts:     2,
+		Seed:            42,
+	})
+	sys, err := sc.System()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k8sParty, _, err := NewK8sParty(sys, sc.K8sCurrent, encode.AllSoft(), sc.K8sGoals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	istioParty, _, err := NewIstioParty(sys, sc.IstioCurrent, encode.AllSoft(), sc.IstioRelaxed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []partySpec{
+		{party: k8sParty, enforceFixed: true, includeGoals: true},
+		{party: istioParty, enforceFixed: true, includeGoals: true},
+	}
+	ws := (*SolveCache)(nil).workspaceFor(sys, specs)
+	res := ws.run(context.Background(), sat.Budget{})
+	if !res.OK {
+		t.Fatalf("must reconcile: %+v", res.Feedback)
+	}
+	if len(res.Edits) == 0 {
+		t.Fatal("scenario needs no edits; the descent (and this test) never runs")
+	}
+	if runs := ws.ss.Solver().Stats.SimpRuns; runs != 1 {
+		t.Fatalf("one-shot reconcile ran %d preprocessing passes, want 1", runs)
+	}
 }

@@ -110,6 +110,9 @@ func newWorkspace(sys *encode.System, specs []partySpec, reusable bool) *workspa
 		// tracks search difficulty, not clause count: services=12 one-shot
 		// reconcile is 0.24 s with the pass vs 1.2 s without), while the
 		// worst case of always running it is a few ms at walkthrough scale.
+		// "Once" holds because the solver's re-run watermark counts only
+		// clauses naming an unfrozen variable, and the descent's
+		// totalizer, which elimination cannot touch, names none.
 		// Cache-owned sessions keep the solver's default floor: small warm
 		// sessions skip the pass, large ones amortise it across queries.
 		satOpts.SimpMinClauses = -1

@@ -54,11 +54,23 @@ func decodeCNF(data []byte) (int, [][]Lit) {
 // inprocessing — against the chronological-backtracking DPLL reference
 // (DisableLearning), which shares only the propagation engine. Verdicts
 // must agree, and every SAT model must actually satisfy the input.
+//
+// A second, incremental phase drives the preprocessing re-run trigger:
+// the last byte freezes a subset of the variables (bit v mod 8), the
+// first half of the clauses is solved, then the second half is added —
+// repeated to twice the re-run watermark, so a second pass fires when at
+// least about half its clauses name an unfrozen variable — and solved
+// again against a reference built on the union.
 func FuzzDifferentialCDCL(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 3, 4, 0})
 	f.Add([]byte{5, 1, 0, 9, 0, 1, 9, 0, 2, 10, 0, 2, 0})
 	f.Add([]byte{7, 1, 2, 3, 0, 4, 5, 6, 0, 7, 8, 9, 0, 10, 11, 12, 0})
 	f.Add([]byte{3, 1, 0, 4, 0, 2, 0, 5, 0, 3, 0, 6, 0})
+	// 4 variables, {0,1} frozen. In the first seed the second half is
+	// frozen-only (bar a unit), so no second pass runs; in the other,
+	// three of its four clauses name 2 or 3, and the second pass fires.
+	f.Add([]byte{1, 1, 3, 0, 2, 4, 0, 3, 6, 0, 1, 2, 0, 1, 6, 0, 2, 5, 0, 3})
+	f.Add([]byte{1, 1, 3, 0, 2, 4, 0, 3, 6, 0, 1, 2, 0, 5, 4, 0, 2, 5, 0, 7, 4, 0, 4, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		nVars, clauses := decodeCNF(data)
 		if nVars == 0 {
@@ -73,6 +85,44 @@ func FuzzDifferentialCDCL(f *testing.F) {
 		}
 		if got == Sat && !modelSatisfies(full.Model(), clauses) {
 			t.Fatalf("arena CDCL model does not satisfy the input (nVars=%d clauses=%v)", nVars, clauses)
+		}
+
+		mask := data[len(data)-1]
+		first, second := clauses[:len(clauses)/2], clauses[len(clauses)/2:]
+		inc := NewWithOptions(aggressiveOpts())
+		for v := 0; v < nVars; v++ {
+			inc.NewVar()
+			if mask>>(v%8)&1 == 1 {
+				inc.Freeze(Var(v))
+			}
+		}
+		for _, c := range first {
+			inc.AddClause(c...)
+		}
+		got = inc.Solve()
+		want = newSolverWith(nVars, first, Options{DisableLearning: true}).Solve()
+		if got != want {
+			t.Fatalf("phase 1 verdict mismatch: arena CDCL %v, DPLL reference %v (nVars=%d frozen=%08b clauses=%v)",
+				got, want, nVars, mask, first)
+		}
+		if len(second) == 0 {
+			return
+		}
+		for added := 0; added <= 2*simpMinGrowth(0); {
+			for _, c := range second {
+				inc.AddClause(c...)
+				added++
+			}
+		}
+		got = inc.Solve()
+		want = ref.Solve()
+		if got != want {
+			t.Fatalf("phase 2 verdict mismatch: arena CDCL %v, DPLL reference %v (nVars=%d frozen=%08b first=%v second=%v)",
+				got, want, nVars, mask, first, second)
+		}
+		if got == Sat && !modelSatisfies(inc.Model(), clauses) {
+			t.Fatalf("phase 2 model does not satisfy the union (nVars=%d frozen=%08b first=%v second=%v)",
+				nVars, mask, first, second)
 		}
 	})
 }

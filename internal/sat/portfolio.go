@@ -53,6 +53,7 @@ func (s *Solver) CloneWithOptions(opts Options) *Solver {
 	if s.simpRan {
 		ns.simpRan = true
 		ns.simpWatermark = len(ns.clauses)
+		ns.simpGrowth = 0
 	}
 	return ns
 }

@@ -172,3 +172,52 @@ func TestSimpCloneReplaysSimplifiedDB(t *testing.T) {
 		}
 	}
 }
+
+// TestSimpGrowthCountsOnlyUnfrozenClauses pins the re-run trigger: after
+// the first pass, a batch of clauses over frozen variables alone (the
+// shape of a totalizer over frozen soft literals) must not buy a second
+// full pass, however large; the same number of clauses each naming an
+// unfrozen variable must.
+func TestSimpGrowthCountsOnlyUnfrozenClauses(t *testing.T) {
+	s := NewWithOptions(Options{SimpMinClauses: -1})
+	vs := make([]Var, 64)
+	for i := range vs {
+		vs[i] = s.NewVar()
+	}
+	for i := 0; i+1 < len(vs); i++ {
+		s.AddClause(NegLit(vs[i]), PosLit(vs[i+1]))
+	}
+	if s.Solve() != Sat {
+		t.Fatal("want sat")
+	}
+	if s.Stats.SimpRuns != 1 {
+		t.Fatalf("SimpRuns = %d after the first solve, want 1", s.Stats.SimpRuns)
+	}
+
+	n := simpMinGrowth(s.simpWatermark) + 1
+	frozen := make([]Var, n+1)
+	for i := range frozen {
+		frozen[i] = s.NewVar()
+		s.Freeze(frozen[i])
+	}
+	for i := 0; i < n; i++ {
+		s.AddClause(NegLit(frozen[i]), PosLit(frozen[i+1]))
+	}
+	if s.Solve() != Sat {
+		t.Fatal("want sat after the frozen-only batch")
+	}
+	if s.Stats.SimpRuns != 1 {
+		t.Fatalf("SimpRuns = %d after %d frozen-only clauses, want 1", s.Stats.SimpRuns, n)
+	}
+
+	for i := 0; i < n; i++ {
+		u := s.NewVar()
+		s.AddClause(NegLit(frozen[i]), PosLit(u))
+	}
+	if s.Solve() != Sat {
+		t.Fatal("want sat after the mixed batch")
+	}
+	if s.Stats.SimpRuns != 2 {
+		t.Fatalf("SimpRuns = %d after %d clauses with an unfrozen variable, want 2", s.Stats.SimpRuns, n)
+	}
+}

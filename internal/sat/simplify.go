@@ -67,8 +67,9 @@ func (s *Solver) restoreVar(v Var) {
 	}
 }
 
-// simpMinGrowth is how many new problem clauses must accumulate before
-// preprocessing runs again on an already-simplified database.
+// simpMinGrowth is how many new problem clauses with an unfrozen variable
+// must accumulate before preprocessing runs again on an already-simplified
+// database of base clauses.
 func simpMinGrowth(base int) int {
 	g := base / 4
 	if g < 256 {
@@ -98,7 +99,14 @@ func (s *Solver) simpMinClauses() int {
 // worth it and is fresh or has grown enough since the last run. Called
 // from Solve at level 0, after propagation and assumption restoration.
 // Below the floor nothing is marked done, so a growing incremental
-// session gets its first pass as soon as it crosses the floor.
+// session gets its first pass as soon as it crosses the floor. The floor
+// weighs the whole database, since search pays for every clause; the
+// re-run watermark counts only s.simpGrowth, the problem clauses that
+// named an unfrozen variable when AddClause stored them. A clause over
+// frozen variables alone gives elimination nothing to act on, so a batch
+// built entirely from frozen literals (the minimal-edit descent's
+// totalizer: frozen outputs over frozen soft literals) never buys another
+// full pass and arena rebuild mid-descent.
 func (s *Solver) maybeSimplify() {
 	if s.opts.DisableSimp || s.unsatLevel0 {
 		return
@@ -106,10 +114,24 @@ func (s *Solver) maybeSimplify() {
 	if !s.simpRan && len(s.clauses) < s.simpMinClauses() {
 		return
 	}
-	if s.simpRan && len(s.clauses) < s.simpWatermark+simpMinGrowth(s.simpWatermark) {
+	if s.simpRan && s.simpGrowth < simpMinGrowth(s.simpWatermark) {
 		return
 	}
 	s.runSimplify()
+}
+
+// mentionsUnfrozen reports whether preprocessing could eliminate any
+// variable of the clause.
+func (s *Solver) mentionsUnfrozen(lits []Lit) bool {
+	if s.elim == nil {
+		return true
+	}
+	for _, l := range lits {
+		if !s.elim.Frozen(int32(l.Var())) {
+			return true
+		}
+	}
+	return false
 }
 
 // runSimplify hands the live problem clauses (reduced under the level-0
@@ -277,6 +299,7 @@ func (s *Solver) runSimplify() {
 	}
 	s.simpRan = true
 	s.simpWatermark = len(s.clauses)
+	s.simpGrowth = 0
 }
 
 // extendModel gives eliminated variables model values consistent with

@@ -2,6 +2,7 @@ package sat
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"muppet/internal/simp"
@@ -181,6 +182,7 @@ type Solver struct {
 	elim          *simp.Preprocessor
 	simpRan       bool
 	simpWatermark int // problem clause count right after the last run
+	simpGrowth    int // problem clauses with an unfrozen variable stored since then
 
 	// Inprocessing schedule (see inprocess.go).
 	nextInprocess    int64 // Stats.Conflicts threshold of the next tick
@@ -278,6 +280,31 @@ func (s *Solver) NewVar() Var {
 	}
 	s.order.push(v)
 	return v
+}
+
+// Reserve pre-sizes the solver for a batch the caller is about to add:
+// vars new variables and up to clauses problem clauses holding lits
+// literals in total. The arena, the problem-clause and pending-watch
+// lists, and every per-variable table grow once here instead of step by
+// step as the batch arrives. It is only a capacity hint: counts that
+// overshoot waste memory, counts that undershoot fall back to growing.
+func (s *Solver) Reserve(vars, clauses, lits int) {
+	s.ca.data = slices.Grow(s.ca.data, lits+clauses*claHdrWords)
+	s.clauses = slices.Grow(s.clauses, clauses)
+	if s.opts.NaivePropagation {
+		s.occs = slices.Grow(s.occs, 2*vars)
+	} else {
+		s.pendingWatch = slices.Grow(s.pendingWatch, clauses)
+	}
+	s.assigns = slices.Grow(s.assigns, vars)
+	s.level = slices.Grow(s.level, vars)
+	s.reason = slices.Grow(s.reason, vars)
+	s.activity = slices.Grow(s.activity, vars)
+	s.polarity = slices.Grow(s.polarity, vars)
+	s.seen = slices.Grow(s.seen, vars)
+	s.watches = slices.Grow(s.watches, 2*vars)
+	s.order.heap = slices.Grow(s.order.heap, vars)
+	s.order.indices = slices.Grow(s.order.indices, vars)
 }
 
 func (s *Solver) value(l Lit) lbool {
@@ -403,6 +430,9 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	}
 	c := s.ca.alloc(out, false)
 	s.clauses = append(s.clauses, c)
+	if !s.opts.DisableSimp && s.mentionsUnfrozen(out) {
+		s.simpGrowth++
+	}
 	if s.opts.NaivePropagation {
 		s.attach(c)
 	} else {

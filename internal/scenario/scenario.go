@@ -13,6 +13,7 @@ package scenario
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"muppet/internal/encode"
 	"muppet/internal/goals"
@@ -120,7 +121,14 @@ func Generate(p Params) *Scenario {
 		}
 		banned[f.port] = true
 	}
+	// Rows in port order: map order would make one seed yield different
+	// problems (and different encodings) from run to run.
+	bannedPorts := make([]int, 0, len(banned))
 	for port := range banned {
+		bannedPorts = append(bannedPorts, port)
+	}
+	sort.Ints(bannedPorts)
+	for _, port := range bannedPorts {
 		sc.K8sGoals = append(sc.K8sGoals, goals.K8sGoal{Port: port, Allow: false})
 	}
 

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"reflect"
 	"testing"
 
 	"muppet/internal/encode"
@@ -23,6 +24,23 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	if len(a.K8sGoals) == 0 || len(a.K8sGoals) > 2 {
 		t.Fatalf("banned ports: %v", a.K8sGoals)
+	}
+}
+
+// TestGenerateBanRowsReproducible pins the K8s ban rows, which come from
+// a set of ports: one seed must give the same rows in the same order on
+// every call, or the same seed names different problems.
+func TestGenerateBanRowsReproducible(t *testing.T) {
+	p := Params{Services: 12, PortsPerService: 3, Flows: 30, BannedPorts: 8, Seed: 7}
+	want := Generate(p).K8sGoals
+	if len(want) != p.BannedPorts {
+		t.Fatalf("got %d ban rows, want %d", len(want), p.BannedPorts)
+	}
+	for i := 0; i < 20; i++ {
+		got := Generate(p).K8sGoals
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("generation %d: ban rows %v, first generation %v", i, got, want)
+		}
 	}
 }
 

@@ -328,6 +328,10 @@ func (m *metrics) write(w io.Writer, sc scrape) {
 	fmt.Fprintln(w, "# TYPE muppetd_solver_inprocess_runs_total counter")
 	fmt.Fprintf(w, "muppetd_solver_inprocess_runs_total %d\n", reuse.Encoding.InprocessRuns)
 
+	fmt.Fprintln(w, "# HELP muppetd_solver_simp_runs_total Full CNF preprocessing passes (before search and in-search BVE), across live sessions.")
+	fmt.Fprintln(w, "# TYPE muppetd_solver_simp_runs_total counter")
+	fmt.Fprintf(w, "muppetd_solver_simp_runs_total %d\n", reuse.Encoding.SimpRuns)
+
 	fmt.Fprintln(w, "# HELP muppetd_solver_vivified_total Clauses shortened or deleted by vivification, across live sessions.")
 	fmt.Fprintln(w, "# TYPE muppetd_solver_vivified_total counter")
 	fmt.Fprintf(w, "muppetd_solver_vivified_total %d\n", reuse.Encoding.Vivified)

@@ -393,3 +393,38 @@ func TestMinimizeEncoderCache(t *testing.T) {
 		}
 	}
 }
+
+// TestTotalizerSizeMatchesBuild holds the dry run to the real encoder: on
+// a fresh solver, the variables and clauses newTotalizer adds are exactly
+// the counted ones, and the literal count reserved up front leaves the
+// arena no reason to regrow during the build.
+func TestTotalizerSizeMatchesBuild(t *testing.T) {
+	for _, tc := range []struct{ n, bound int }{
+		{1, 1}, {2, 1}, {2, 2}, {5, 3}, {7, 7}, {9, 12}, {16, 4}, {33, 10}, {64, 64},
+	} {
+		s := sat.New()
+		inputs := make([]sat.Lit, tc.n)
+		for i := range inputs {
+			inputs[i] = sat.PosLit(s.NewVar())
+		}
+		var sz totalizerSize
+		sz.build(tc.n, min(tc.bound, tc.n))
+		vars0, clauses0 := s.NumVars(), s.NumClauses()
+		newTotalizer(s, inputs, tc.bound)
+		if got := s.NumVars() - vars0; got != sz.vars {
+			t.Errorf("n=%d bound=%d: build added %d vars, dry run counted %d", tc.n, tc.bound, got, sz.vars)
+		}
+		if got := s.NumClauses() - clauses0; got != sz.clauses {
+			t.Errorf("n=%d bound=%d: build added %d clauses, dry run counted %d", tc.n, tc.bound, got, sz.clauses)
+		}
+		ref := sat.New()
+		for i := 0; i < tc.n; i++ {
+			ref.NewVar()
+		}
+		ref.Reserve(sz.vars, sz.clauses, sz.lits)
+		if got, want := s.ArenaBytes(), ref.ArenaBytes(); got != want {
+			t.Errorf("n=%d bound=%d: arena %d bytes after build, %d reserved: literal count is off",
+				tc.n, tc.bound, got, want)
+		}
+	}
+}

@@ -15,9 +15,10 @@ type totalizer struct {
 }
 
 // newTotalizer builds the encoder for the given inputs, truncated at
-// bound outputs. It adds O(n·bound) clauses to the solver. A nil encoder
-// (no inputs or non-positive bound) is returned as an empty totalizer on
-// which atMost is a no-op.
+// bound outputs. It adds O(n·bound) clauses to the solver, reserving room
+// for all of them first (see totalizerSize). A nil encoder (no inputs or
+// non-positive bound) is returned as an empty totalizer on which atMost
+// is a no-op.
 func newTotalizer(s *sat.Solver, inputs []sat.Lit, bound int) *totalizer {
 	t := &totalizer{}
 	if len(inputs) == 0 || bound <= 0 {
@@ -26,8 +27,45 @@ func newTotalizer(s *sat.Solver, inputs []sat.Lit, bound int) *totalizer {
 	if bound > len(inputs) {
 		bound = len(inputs)
 	}
+	var sz totalizerSize
+	sz.build(len(inputs), bound)
+	s.Reserve(sz.vars, sz.clauses, sz.lits)
 	t.outputs = build(s, inputs, bound)
 	return t
+}
+
+// totalizerSize is a dry run of build: the same recursion over counter
+// lengths only, totalling the variables, clauses and literals the real
+// build adds. Tens of thousands of clauses land in one go on a large
+// descent; sizing the solver up front spares the arena and the
+// per-variable tables their step-by-step regrowth.
+type totalizerSize struct{ vars, clauses, lits int }
+
+// build mirrors build for n inputs and returns the counter length.
+func (sz *totalizerSize) build(n, m int) int {
+	if n == 1 {
+		return 1
+	}
+	half := n / 2
+	return sz.merge(sz.build(half, m), sz.build(n-half, m), m)
+}
+
+// merge mirrors merge for child counters of lengths a and b: one clause
+// per pair (i, j) with 1 ≤ i+j ≤ min(a+b, m), binary when i or j is 0.
+func (sz *totalizerSize) merge(a, b, m int) int {
+	n := min(a+b, m)
+	sz.vars += n
+	for i := 0; i <= a && i <= n; i++ {
+		js := min(b, n-i) // pairs (i, 1..js) plus, for i > 0, (i, 0)
+		if i == 0 {
+			sz.clauses += js
+			sz.lits += 2 * js
+		} else {
+			sz.clauses += js + 1
+			sz.lits += 2 + 3*js
+		}
+	}
+	return n
 }
 
 // build recursively merges the unary counters of the two halves.
