@@ -428,17 +428,6 @@ func BenchmarkAblationNoLearning(b *testing.B) {
 	benchSolveWith(b, sat.Options{DisableLearning: true}, boolcirc.Options{})
 }
 
-// BenchmarkAblationNaivePropagation replaces two-watched-literal
-// propagation with occurrence-list scans.
-func BenchmarkAblationNaivePropagation(b *testing.B) {
-	benchSolveWith(b, sat.Options{NaivePropagation: true}, boolcirc.Options{})
-}
-
-// BenchmarkAblationNoRestarts disables Luby restarts.
-func BenchmarkAblationNoRestarts(b *testing.B) {
-	benchSolveWith(b, sat.Options{DisableRestarts: true}, boolcirc.Options{})
-}
-
 // BenchmarkAblationNoHashCons disables structural sharing in the circuit
 // factory.
 func BenchmarkAblationNoHashCons(b *testing.B) {

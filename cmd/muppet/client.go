@@ -30,9 +30,6 @@ import (
 // deadline. Every mediation op is a safe retry: reads are pure, and the
 // daemon builds fresh parties per request.
 func clientExecute(ctx context.Context, addr, tenantID string, lim *limits, strategy string, retries int, req server.Request) error {
-	if lim.portfolio != 0 {
-		return fmt.Errorf("-portfolio is a daemon-side setting; start muppetd with it instead of combining it with -addr")
-	}
 	if strategy != "" && strategy != "auto" {
 		return fmt.Errorf("-strategy is a daemon-side setting; start muppetd with it instead of combining it with -addr")
 	}

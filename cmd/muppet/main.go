@@ -19,11 +19,10 @@
 // The workflow commands solve locally by default; with -addr they route
 // the same request through a running muppetd daemon instead, and print
 // its (byte-identical) verdict. Solving commands accept -timeout and
-// -max-conflicts budgets, a -portfolio width racing diversified solver
-// configurations per solve, and a -v flag printing session-reuse and
-// portfolio worker statistics; they honour SIGINT/SIGTERM; an interrupted
-// solve reports INDETERMINATE with the stop reason rather than a
-// fabricated verdict. Exit codes are distinct:
+// -max-conflicts budgets and a -v flag printing session-reuse and
+// encoding statistics; they honour SIGINT/SIGTERM; an interrupted solve
+// reports INDETERMINATE with the stop reason rather than a fabricated
+// verdict. Exit codes are distinct:
 //
 //	0 — satisfiable / workflow succeeded
 //	1 — unsatisfiable / workflow failed with blame
@@ -182,7 +181,7 @@ common flags:
 check/envelope/reconcile/conform/negotiate also accept:
   -addr           route the request through a running muppetd at host:port
                   instead of solving locally (budgets travel as headers;
-                  -portfolio/-strategy/-v are daemon-side and rejected)
+                  -strategy/-v are daemon-side and rejected)
   -tenant         tenant to address on the daemon (requires -addr;
                   default: the daemon's default tenant)
   -retries        retries for retryable daemon failures in -addr mode:
@@ -199,10 +198,9 @@ negotiate also accepts (federated mode):
 check/envelope/reconcile/conform/negotiate/bench also accept:
   -timeout        wall-clock budget for the whole command (e.g. 500ms; 0 = none)
   -max-conflicts  solver conflict budget (0 = none)
-  -portfolio      race N diversified solver configurations per solve (0/1 = off)
   -encoding       encoding pipeline: full (default) | legacy | comma list of
                   no-polarity,no-sweep,no-simp
-  -v              print session-reuse, encoding, and portfolio statistics
+  -v              print session-reuse and encoding statistics
 
 diff accepts:
   -before/-after  the two revisions: tenant.yaml manifests or their dirs
@@ -254,7 +252,6 @@ func (in *inputs) load() (*server.State, error) { return server.Load(in.cfg) }
 type limits struct {
 	timeout      time.Duration
 	maxConflicts int64
-	portfolio    int
 	encoding     string
 	verbose      bool
 }
@@ -264,12 +261,10 @@ func (l *limits) register(fs *flag.FlagSet) {
 		"wall-clock budget for the whole command (0 = none)")
 	fs.Int64Var(&l.maxConflicts, "max-conflicts", 0,
 		"solver conflict budget (0 = none)")
-	fs.IntVar(&l.portfolio, "portfolio", 0,
-		"race N diversified solver configurations per solve (0/1 = sequential)")
 	fs.StringVar(&l.encoding, "encoding", "full",
 		"encoding pipeline: full|legacy or comma list of no-polarity,no-sweep,no-simp")
 	fs.BoolVar(&l.verbose, "v", false,
-		"print session-reuse and portfolio worker statistics")
+		"print session-reuse and encoding statistics")
 }
 
 // parseEncoding maps the -encoding flag to an encoding configuration.
@@ -300,7 +295,6 @@ func parseEncoding(s string) (muppet.Encoding, error) {
 // here — before input loading — so -timeout bounds the whole command, not
 // just the solver. The returned cancel must be deferred.
 func (l *limits) apply(ctx context.Context) (context.Context, context.CancelFunc, muppet.Budget, error) {
-	muppet.SetPortfolioWorkers(l.portfolio)
 	enc, err := parseEncoding(l.encoding)
 	if err != nil {
 		return ctx, func() {}, muppet.Budget{}, err
@@ -368,7 +362,7 @@ func execute(ctx context.Context, in *inputs, lim *limits, strategy string, d *d
 		return err
 	}
 	if lim.verbose {
-		printReuse(cache.Stats(), cache.Workers())
+		printReuse(cache.Stats())
 	}
 	fmt.Print(resp.Output)
 	if resp.Code != exitSat {
@@ -378,22 +372,14 @@ func execute(ctx context.Context, in *inputs, lim *limits, strategy string, d *d
 }
 
 // printReuse reports -v statistics: how much grounding the solve cache
-// avoided and, when a portfolio raced, what each worker did.
-func printReuse(st muppet.ReuseStats, workers []muppet.WorkerStats) {
+// avoided and how large the encoding was.
+func printReuse(st muppet.ReuseStats) {
 	t := st.Translation
 	fmt.Printf("// sessions: %d built, %d reused; translation cache: %d pointer hits, %d structural hits, %d misses\n",
 		st.Sessions, st.Reuses, t.PointerHits, t.StructHits, t.Misses)
 	e := st.Encoding
 	fmt.Printf("// encoding: %d circuit nodes, %d vars, %d clauses; preprocessing ran %d passes, eliminated %d vars, removed %d clauses\n",
 		e.CircuitNodes, e.SolverVars, e.SolverClauses, e.SimpRuns, e.VarsEliminated, e.ClausesRemoved)
-	for _, w := range workers {
-		mark := " "
-		if w.Winner {
-			mark = "*"
-		}
-		fmt.Printf("// %s worker %-12s %-7v conflicts=%d restarts=%d decisions=%d\n",
-			mark, w.Name, w.Status, w.Stats.Conflicts, w.Stats.Restarts, w.Stats.Decisions)
-	}
 }
 
 // registerStrategy adds the -strategy flag shared by the commands that
@@ -545,7 +531,7 @@ func runFederated(ctx context.Context, in *inputs, lim *limits, strategy string,
 		return err
 	}
 	if lim.verbose {
-		printReuse(cache.Stats(), cache.Workers())
+		printReuse(cache.Stats())
 		printFed(fedRounds, fedRetries, fedBreakers)
 	}
 	fmt.Print(resp.Output)
@@ -693,7 +679,7 @@ func runBench(ctx context.Context, args []string) error {
 			}
 			agg.Add(c.Stats())
 		}
-		printReuse(agg, nil)
+		printReuse(agg)
 	}
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
@@ -789,7 +775,7 @@ func benchDelta(ctx context.Context, lim *limits, budget muppet.Budget, n int) e
 	}
 	deltaPer := time.Since(deltaStart) / time.Duration(n)
 	if lim.verbose {
-		printReuse(cache.Stats(), cache.Workers())
+		printReuse(cache.Stats())
 	}
 	if last.Cold {
 		return fmt.Errorf("delta serving went cold: %s", last.Reason)
@@ -872,7 +858,7 @@ func benchTenants(ctx context.Context, lim *limits, budget muppet.Budget, n, par
 		for _, bu := range bundles {
 			agg.Add(bu.pool.Stats().Reuse)
 		}
-		printReuse(agg, nil)
+		printReuse(agg)
 	}
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {

@@ -57,7 +57,6 @@ import (
 	"syscall"
 	"time"
 
-	"muppet"
 	"muppet/internal/buildinfo"
 	"muppet/internal/faultinject"
 	"muppet/internal/server"
@@ -97,7 +96,6 @@ func run(argv []string, ready func(addr string)) int {
 		"watch long-poll timeout before an empty 204 re-poll hint")
 	watchMaxEvents := fs.Int("watch-max-events", 0,
 		"cap on events per SSE watcher before its stream is closed (0 = unlimited)")
-	portfolio := fs.Int("portfolio", 0, "race N diversified solver configurations per solve (0/1 = off)")
 	strategy := fs.String("strategy", "auto", "minimal-edit distance search: auto|linear|binary")
 	fedParty := fs.String("fed-party", "",
 		"serve the federated negotiation peer protocol under /fed/ for this party: k8s|istio (requires -files)")
@@ -133,15 +131,14 @@ func run(argv []string, ready func(addr string)) int {
 		fmt.Fprintln(os.Stderr, "muppetd:", err)
 		return server.CodeUsage
 	}
-	// Strategy and portfolio width are process-wide solver configuration,
-	// so they are daemon-startup knobs, never per-request ones.
+	// The strategy is process-wide solver configuration, so it is a
+	// daemon-startup knob, never a per-request one.
 	st, ok := target.ParseStrategy(*strategy)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "muppetd: bad -strategy %q (want auto|linear|binary)\n", *strategy)
 		return server.CodeUsage
 	}
 	target.SetDefaultStrategy(st)
-	muppet.SetPortfolioWorkers(*portfolio)
 
 	router := tenant.DefaultRouter()
 	if *routerPath != "" {

@@ -174,21 +174,6 @@ func (c *SolveCache) Stats() ReuseStats {
 	return st
 }
 
-// Workers returns the per-worker stats of the most recent portfolio solve
-// performed through this cache, nil when the last solve was sequential.
-func (c *SolveCache) Workers() []sat.WorkerStats {
-	if c == nil {
-		return nil
-	}
-	var latest []sat.WorkerStats
-	for _, ws := range c.entries {
-		if ws.lastWorkers != nil {
-			latest = ws.lastWorkers
-		}
-	}
-	return latest
-}
-
 // specsKey identifies a workspace shape: each participant's name, role,
 // and configuration domain (the relation identities bindFree binds), in
 // order. The key is deliberately shape-based rather than party-pointer

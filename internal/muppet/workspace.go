@@ -63,10 +63,6 @@ type workspace struct {
 	// itself runs out of budget.
 	rawCore []sat.Lit
 
-	// lastWorkers records per-worker stats of the most recent portfolio
-	// solve, for observability.
-	lastWorkers []sat.WorkerStats
-
 	// lastUsed is the owning SolveCache's logical clock at the most recent
 	// use, ordering LRU eviction. Unused (zero) on one-shot workspaces.
 	lastUsed int64
@@ -129,9 +125,9 @@ func newWorkspace(sys *encode.System, specs []partySpec, reusable bool) *workspa
 // workflow solves. The zero value — polarity-aware Tseitin, AIG sweep,
 // and CNF preprocessing all on — is the default; the switches exist for
 // ablation runs and as an escape hatch (wired to the muppet CLI's
-// -encoding flag). Like the portfolio width it is stored atomically so
-// concurrent workflow queries may read it while a test or the CLI
-// configures it; it takes effect for workspaces built after the call.
+// -encoding flag). It is stored atomically so concurrent workflow queries
+// may read it while a test or the CLI configures it; it takes effect for
+// workspaces built after the call.
 type Encoding struct {
 	// NoPolarity emits full Tseitin biconditionals for every gate.
 	NoPolarity bool
@@ -253,7 +249,6 @@ func (ws *workspace) reset() {
 	ws.softLits = ws.softLits[:0]
 	ws.softInfo = ws.softInfo[:0]
 	ws.rawCore = nil
-	ws.lastWorkers = nil
 	ws.bindOffers()
 	ws.populate()
 }
@@ -330,37 +325,12 @@ func (ws *workspace) addNamed(name string, lit sat.Lit) {
 	ws.assumps = append(ws.assumps, lit)
 }
 
-// portfolioWorkers is the package-wide portfolio width for workflow
-// solves: 0 or 1 solves sequentially, n > 1 races n diversified solver
-// configurations (wired to the muppet CLI's -portfolio flag, like the
-// target package's default strategy). Atomic so concurrent workflow
-// queries may read it while a test or the CLI configures it.
-var portfolioWorkers atomic.Int32
-
-// SetPortfolioWorkers sets the portfolio width for all workflow solves
-// and returns the previous value. Width n ≤ 1 means sequential solving.
-func SetPortfolioWorkers(n int) int {
-	return int(portfolioWorkers.Swap(int32(n)))
-}
-
-// PortfolioWorkers reports the current portfolio width.
-func PortfolioWorkers() int { return int(portfolioWorkers.Load()) }
-
 // solve checks satisfiability under all named assumptions, within the
 // given budget. Unknown means the budget or context stopped the solver:
 // neither a model nor a core exists, and callers must not fabricate
-// either (see stop for the reason). With a portfolio width configured,
-// the initial verdict is raced across diversified solver clones; the
-// verdict is identical to a sequential solve's either way.
+// either (see stop for the reason).
 func (ws *workspace) solve(ctx context.Context, b sat.Budget) sat.Status {
-	var st sat.Status
-	if n := PortfolioWorkers(); n > 1 {
-		pr := ws.ss.SolvePortfolio(ctx, b, sat.DefaultPortfolio(n), ws.assumps...)
-		st = pr.Status
-		ws.lastWorkers = pr.Workers
-	} else {
-		st = ws.ss.SolveCtx(ctx, b, ws.assumps...)
-	}
+	st := ws.ss.SolveCtx(ctx, b, ws.assumps...)
 	if st == sat.Unsat {
 		ws.rawCore = ws.ss.Solver().Core()
 	}

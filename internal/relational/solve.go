@@ -78,15 +78,6 @@ func (ss *Session) SolveCtx(ctx context.Context, b sat.Budget, assumps ...sat.Li
 	return ss.Solver().SolveCtx(ctx, b, assumps...)
 }
 
-// SolvePortfolio checks satisfiability by racing diversified solver
-// configurations over a replayed copy of the session's clause database;
-// the first definitive verdict wins and is installed in the session's own
-// solver, so Instance and Core work exactly as after SolveCtx. With nil
-// configs a default 2-way portfolio runs; see sat.DefaultPortfolio.
-func (ss *Session) SolvePortfolio(ctx context.Context, b sat.Budget, configs []sat.PortfolioConfig, assumps ...sat.Lit) sat.PortfolioResult {
-	return ss.Solver().SolvePortfolio(ctx, b, configs, assumps...)
-}
-
 // CacheStats reports the translation cache counters of this session.
 func (ss *Session) CacheStats() CacheStats { return ss.tr.Cache() }
 

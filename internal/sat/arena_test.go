@@ -11,10 +11,40 @@ import (
 // floor so BVE runs even on a handful of clauses.
 func aggressiveOpts() Options {
 	return Options{
-		RestartBase:       1,
-		InprocessInterval: 1,
-		LearntCap:         5,
+		restartBase:       1,
+		inprocessInterval: 1,
+		learntCap:         5,
 		SimpMinClauses:    -1,
+	}
+}
+
+// TestAggressiveStressReachesEveryPath pins what aggressiveOpts buys
+// FuzzDifferentialCDCL: on PHP(7,6) every search-core path it claims to
+// stress — restarts, inprocessing ticks, in-search preprocessing, reduceDB
+// deletions, vivification, and arena compaction — actually runs. A change
+// that quietly weakened one of the stress settings would fail here rather
+// than leave the fuzz target covering less.
+func TestAggressiveStressReachesEveryPath(t *testing.T) {
+	s := NewWithOptions(aggressiveOpts())
+	pigeonhole(s, 7, 6)
+	if st := s.Solve(); st != Unsat {
+		t.Fatalf("PHP(7,6): got %v, want UNSAT", st)
+	}
+	st := s.Stats
+	for _, c := range []struct {
+		name string
+		n    int64
+	}{
+		{"Restarts", st.Restarts},
+		{"InprocessRuns", st.InprocessRuns},
+		{"SimpRuns", st.SimpRuns},
+		{"Removed", st.Removed},
+		{"Vivified", st.Vivified},
+		{"ArenaGCs", st.ArenaGCs},
+	} {
+		if c.n <= 0 {
+			t.Errorf("%s = %d under aggressiveOpts, want > 0 (stats %+v)", c.name, c.n, st)
+		}
 	}
 }
 

@@ -17,8 +17,7 @@ const (
 	StopCancelled
 	// StopDeadline: the budget's wall-clock deadline passed.
 	StopDeadline
-	// StopConflicts: the conflict cap (Budget.MaxConflicts or the legacy
-	// Options.MaxConflicts) was exhausted.
+	// StopConflicts: the conflict cap (Budget.MaxConflicts) was exhausted.
 	StopConflicts
 	// StopPropagations: the propagation cap was exhausted.
 	StopPropagations
@@ -100,9 +99,6 @@ func (s *Solver) SolveCtx(ctx context.Context, b Budget, assumps ...Lit) Status 
 // only consulted every 64 polls to keep the hot loop cheap.
 func (s *Solver) stopCheck() StopReason {
 	if s.conflictCap > 0 && s.Stats.Conflicts >= s.conflictCap {
-		return StopConflicts
-	}
-	if s.opts.MaxConflicts > 0 && s.Stats.Conflicts >= s.opts.MaxConflicts {
 		return StopConflicts
 	}
 	if s.propCap > 0 && s.Stats.Propagations >= s.propCap {

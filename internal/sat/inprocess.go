@@ -26,8 +26,8 @@ const vivifyPropBudget = 100_000
 const vivifyMinSize = 3
 
 func (s *Solver) inprocessInterval() int64 {
-	if s.opts.InprocessInterval > 0 {
-		return s.opts.InprocessInterval
+	if s.opts.inprocessInterval > 0 {
+		return s.opts.inprocessInterval
 	}
 	return inprocessDefaultInterval
 }
@@ -55,8 +55,7 @@ func (s *Solver) bvePeriod() int64 {
 // maybeInprocess runs an inprocessing tick if enough conflicts have
 // accumulated. Called from Solve's restart loop at decision level 0.
 func (s *Solver) maybeInprocess() {
-	if s.opts.DisableInprocess || s.opts.DisableLearning ||
-		s.opts.NaivePropagation || s.unsatLevel0 {
+	if s.opts.DisableLearning || s.unsatLevel0 {
 		return
 	}
 	if s.Stats.Conflicts < s.nextInprocess {

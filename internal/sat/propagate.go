@@ -6,9 +6,6 @@ package sat
 // avoids touching clause memory at all, and a visited clause is one
 // contiguous block of int32s.
 func (s *Solver) propagate() cref {
-	if s.opts.NaivePropagation {
-		return s.propagateNaive()
-	}
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead] // p is true; visit clauses watching ¬p
 		s.qhead++
@@ -62,63 +59,6 @@ func (s *Solver) propagate() cref {
 			s.uncheckedEnqueue(first, c)
 		}
 		s.watches[falseLit] = out
-	}
-	return crefUndef
-}
-
-// propagateNaive is the ablation propagation mode: for each newly false
-// literal it scans every clause containing it, checking satisfaction and
-// unit status by full traversal.
-func (s *Solver) propagateNaive() cref {
-	for s.qhead < len(s.trail) {
-		p := s.trail[s.qhead]
-		s.qhead++
-		s.Stats.Propagations++
-		falseLit := p.Not()
-		occ := s.occs[falseLit]
-		live := occ[:0]
-		for _, c := range occ {
-			if s.ca.deleted(c) {
-				continue
-			}
-			live = append(live, c)
-			lits := s.ca.lits(c)
-			var unit Lit = LitUndef
-			nUndef := 0
-			sat := false
-			for _, l := range lits {
-				switch s.value(l) {
-				case lTrue:
-					sat = true
-				case lUndef:
-					nUndef++
-					unit = l
-				}
-				if sat {
-					break
-				}
-			}
-			if sat {
-				continue
-			}
-			switch nUndef {
-			case 0:
-				s.occs[falseLit] = append(live, occ[len(live):]...)
-				s.qhead = len(s.trail)
-				return c
-			case 1:
-				// Conflict analysis expects the asserting literal of a
-				// reason clause at position 0.
-				for k, l := range lits {
-					if l == unit {
-						lits[0], lits[k] = lits[k], lits[0]
-						break
-					}
-				}
-				s.uncheckedEnqueue(unit, c)
-			}
-		}
-		s.occs[falseLit] = live
 	}
 	return crefUndef
 }

@@ -286,7 +286,7 @@ const chronoThreshold = 100
 
 // search runs CDCL until a model, a restart or budget exhaustion, a
 // cancellation, or an assumption failure. nConflicts bounds this restart's
-// conflicts (<0: none). Budget/cancellation stops set s.stopReason, which
+// conflicts. Budget/cancellation stops set s.stopReason, which
 // distinguishes them from an ordinary restart in Solve's outer loop.
 func (s *Solver) search(nConflicts int64) Status {
 	conflicts := int64(0)
@@ -345,8 +345,7 @@ func (s *Solver) search(nConflicts int64) Status {
 			// that must live at level 0 — asserted higher it would be a
 			// reason-less non-decision literal, which analyze/analyzeFinal
 			// (rightly) treat as impossible.
-			if !s.opts.DisableChrono && len(learnt) > 1 &&
-				s.decisionLevel()-btLevel > chronoThreshold {
+			if len(learnt) > 1 && s.decisionLevel()-btLevel > chronoThreshold {
 				btLevel = s.decisionLevel() - 1
 				s.Stats.ChronoBacktracks++
 			}
@@ -367,9 +366,9 @@ func (s *Solver) search(nConflicts int64) Status {
 			continue
 		}
 
-		if nConflicts >= 0 && conflicts >= nConflicts {
-			s.cancelUntil(s.assumptionLevel())
-			return Unknown // restart
+		if conflicts >= nConflicts {
+			s.cancelUntil(0) // assumptions are re-applied as the first decisions
+			return Unknown   // restart
 		}
 		if !s.opts.DisableLearning && float64(len(s.learnts)) >= s.maxLearnts {
 			s.reduceDB()
@@ -402,17 +401,12 @@ func (s *Solver) search(nConflicts int64) Status {
 	}
 }
 
-// assumptionLevel is the decision level up to which assumptions are pinned;
-// restarts must not undo assumption decisions blindly (we conservatively
-// restart to level 0 and re-apply, which is simplest and correct).
-func (s *Solver) assumptionLevel() int32 { return 0 }
-
 // Solve determines satisfiability of the clause set under the given
 // assumption literals. On Sat, Model/Value expose the assignment; on Unsat,
 // Core exposes the failed assumptions. Solve may be called repeatedly,
-// interleaved with AddClause and NewVar. An Unknown return means a budget
-// or cancellation stopped the search (see SolveCtx and StopReason); plain
-// Solve can return Unknown only via the legacy Options.MaxConflicts cap.
+// interleaved with AddClause and NewVar. Plain Solve runs to a verdict:
+// only SolveCtx, under a budget or a cancellable context, can return
+// Unknown (see StopReason).
 func (s *Solver) Solve(assumps ...Lit) Status {
 	s.stopReason = StopNone
 	if s.unsatLevel0 {
@@ -454,8 +448,8 @@ func (s *Solver) Solve(assumps ...Lit) Status {
 	if s.maxLearnts < 1000 {
 		s.maxLearnts = 1000
 	}
-	if s.opts.LearntCap > 0 {
-		s.maxLearnts = float64(s.opts.LearntCap)
+	if s.opts.learntCap > 0 {
+		s.maxLearnts = float64(s.opts.learntCap)
 	}
 	if s.nextInprocess == 0 {
 		s.nextInprocess = s.Stats.Conflicts + s.inprocessInterval()
@@ -463,11 +457,7 @@ func (s *Solver) Solve(assumps ...Lit) Status {
 
 	var restart int64 = 1
 	for {
-		budget := int64(-1)
-		if !s.opts.DisableRestarts {
-			budget = luby(s.opts.restartBase(), restart)
-		}
-		st := s.search(budget)
+		st := s.search(luby(s.opts.lubyUnit(), restart))
 		switch st {
 		case Sat:
 			s.model = make([]bool, len(s.assigns))
@@ -486,7 +476,7 @@ func (s *Solver) Solve(assumps ...Lit) Status {
 		}
 		s.Stats.Restarts++
 		restart++
-		if s.opts.LearntCap <= 0 {
+		if s.opts.learntCap <= 0 {
 			s.maxLearnts *= s.learntGrowth
 		}
 		// Between restarts the trail is at the assumption level (0) — the

@@ -143,36 +143,6 @@ func TestSimpStatsReported(t *testing.T) {
 	}
 }
 
-// TestSimpCloneReplaysSimplifiedDB checks a clone of a simplified solver
-// still reaches the right verdicts and models.
-func TestSimpCloneReplaysSimplifiedDB(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for iter := 0; iter < 100; iter++ {
-		nVars := 5 + rng.Intn(6)
-		clauses := randomClauses(rng, nVars, 4+rng.Intn(20))
-		s := NewWithOptions(Options{SimpMinClauses: -1})
-		for i := 0; i < nVars; i++ {
-			s.NewVar()
-		}
-		ok := true
-		for _, c := range clauses {
-			if !s.AddClause(c...) {
-				ok = false
-				break
-			}
-		}
-		var st Status = Unsat
-		if ok {
-			st = s.Solve()
-		}
-		clone := s.CloneWithOptions(Options{PhaseSeed: 3, SimpMinClauses: -1})
-		cst := clone.Solve()
-		if cst != st {
-			t.Fatalf("iter %d: clone verdict %v, original %v", iter, cst, st)
-		}
-	}
-}
-
 // TestSimpGrowthCountsOnlyUnfrozenClauses pins the re-run trigger: after
 // the first pass, a batch of clauses over frozen variables alone (the
 // shape of a totalizer over frozen soft literals) must not buy a second

@@ -261,21 +261,9 @@ func (s *Solver) runSimplify() {
 		s.watches[i] = s.watches[i][:0]
 	}
 	s.nWatched = 0
-	if s.opts.NaivePropagation {
-		for i := range s.occs {
-			s.occs[i] = s.occs[i][:0]
-		}
-		for _, c := range s.clauses {
-			s.attach(c)
-		}
-		for _, c := range s.learnts {
-			s.attach(c)
-		}
-	} else {
-		// Re-attaching one clause at a time would redo the per-literal grow
-		// chains the bulk loader avoids; carve the rebuilt lists instead.
-		s.buildWatches(s.clauses, s.learnts)
-	}
+	// Re-attaching one clause at a time would redo the per-literal grow
+	// chains the bulk loader avoids; carve the rebuilt lists instead.
+	s.buildWatches(s.clauses, s.learnts)
 	// The level-0 trail survives the rebuild, but its reason references
 	// point into the discarded arena; level-0 facts need no reason.
 	for _, l := range s.trail {

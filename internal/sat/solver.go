@@ -33,37 +33,12 @@ func (s Status) String() string {
 }
 
 // Options tune solver behaviour. The zero value is the recommended default
-// configuration; the toggles exist for the ablation benchmarks.
+// configuration.
 type Options struct {
 	// DisableLearning turns the solver into chronological-backtracking DPLL:
-	// conflicts still backtrack, but no learnt clauses are retained.
+	// conflicts still backtrack, but no learnt clauses are retained. It is
+	// the reference oracle of FuzzDifferentialCDCL.
 	DisableLearning bool
-	// NaivePropagation replaces two-watched-literal propagation with full
-	// occurrence-list clause scans.
-	NaivePropagation bool
-	// DisablePhaseSaving makes decisions always try the negative phase first.
-	DisablePhaseSaving bool
-	// DisableRestarts switches Luby restarts off.
-	DisableRestarts bool
-	// MaxConflicts, when positive, bounds the cumulative conflict count
-	// across the solver's lifetime; exceeding it makes Solve return Unknown
-	// with StopReason() == StopConflicts. Prefer the per-call
-	// Budget.MaxConflicts of SolveCtx for new code.
-	MaxConflicts int64
-	// RestartBase, when positive, replaces the default Luby restart unit
-	// (100 conflicts). Small values restart aggressively, large values let
-	// each search run long — the main diversification axis for portfolios.
-	RestartBase int64
-	// PhaseSeed, when non-zero, seeds deterministic per-variable jitter:
-	// initial decision polarity and a tiny initial activity perturbation
-	// that reorders ties in the decision heap. Two solvers over the same
-	// clauses with different seeds explore different parts of the space.
-	PhaseSeed uint64
-	// LearntCap, when positive, pins the learnt-clause database limit to a
-	// fixed size instead of the default third-of-problem-clauses with
-	// geometric growth. Small caps keep the solver lean (frequent
-	// reduceDB), another portfolio diversification axis.
-	LearntCap int
 	// DisableSimp turns off SatELite-style preprocessing (subsumption,
 	// self-subsuming resolution, bounded variable elimination) of the
 	// clause database before search. Preprocessing is on by default;
@@ -76,20 +51,6 @@ type Options struct {
 	// database grows past the floor. 0 means the default floor
 	// (simpDefaultMinClauses); negative means no floor.
 	SimpMinClauses int
-	// DisableChrono turns off chronological backtracking: every conflict
-	// backjumps all the way to the learnt clause's assertion level, even
-	// when that discards hundreds of levels of still-useful trail. With
-	// chrono on (the default), backjumps longer than chronoThreshold
-	// levels backtrack a single level instead and assert the learnt
-	// literal there, preserving the trail prefix.
-	DisableChrono bool
-	// DisableInprocess turns off scheduled inprocessing: the periodic
-	// clause vivification and bounded-variable-elimination passes run
-	// between restarts (see inprocess.go).
-	DisableInprocess bool
-	// InprocessInterval, when positive, overrides how many conflicts pass
-	// between inprocessing ticks (default inprocessDefaultInterval).
-	InprocessInterval int64
 	// VivifyPropBudget, when positive, overrides the unit-propagation
 	// budget of one vivification round (default vivifyPropBudget); -1
 	// disables vivification. Exposed for the inprocessing budget sweeps
@@ -98,23 +59,20 @@ type Options struct {
 	// BVETickPeriod, when positive, overrides how many inprocessing ticks
 	// pass between full preprocessor re-runs (default bveTickPeriod).
 	BVETickPeriod int64
+
+	// Stress settings, set only by the in-package fuzz and unit tests to
+	// make every hot path fire on tiny instances. Zero means the default.
+	restartBase       int64 // Luby restart unit in conflicts (default 100)
+	learntCap         int   // fixed learnt-database limit instead of a growing one
+	inprocessInterval int64 // conflicts between inprocessing ticks
 }
 
-// restartBase returns the Luby restart unit in conflicts.
-func (o Options) restartBase() int64 {
-	if o.RestartBase > 0 {
-		return o.RestartBase
+// lubyUnit returns the Luby restart unit in conflicts.
+func (o Options) lubyUnit() int64 {
+	if o.restartBase > 0 {
+		return o.restartBase
 	}
 	return 100
-}
-
-// splitmix64 is the SplitMix64 mixing function — a cheap, deterministic
-// uint64→uint64 hash used for seeded polarity/activity jitter.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // Solver is an incremental CDCL SAT solver. Create one with New, introduce
@@ -129,7 +87,6 @@ type Solver struct {
 	learnts []cref   // learnt clauses
 
 	watches [][]watcher // indexed by literal: clauses watching that literal
-	occs    [][]cref    // naive mode: occurrence lists per literal
 
 	// Deferred watch attachment: AddClause queues clauses here and the
 	// queue is flushed before any propagation. A bulk flush into empty
@@ -259,25 +216,13 @@ func (s *Solver) ArenaBytes() int64 { return s.ca.bytes() }
 // NewVar introduces a fresh variable and returns it.
 func (s *Solver) NewVar() Var {
 	v := Var(len(s.assigns))
-	phase := true // default phase: false branch first
-	activity := 0.0
-	if s.opts.PhaseSeed != 0 {
-		h := splitmix64(s.opts.PhaseSeed + uint64(v))
-		phase = h&1 == 0
-		// Sub-1e-3 jitter: far below any bumped activity, so it only
-		// breaks ties among never-bumped variables.
-		activity = float64(h>>40) * (1.0 / (1 << 34))
-	}
 	s.assigns = append(s.assigns, lUndef)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, crefUndef)
-	s.activity = append(s.activity, activity)
-	s.polarity = append(s.polarity, phase)
+	s.activity = append(s.activity, 0)
+	s.polarity = append(s.polarity, true) // default phase: false branch first
 	s.seen = append(s.seen, 0)
 	s.watches = append(s.watches, nil, nil)
-	if s.opts.NaivePropagation {
-		s.occs = append(s.occs, nil, nil)
-	}
 	s.order.push(v)
 	return v
 }
@@ -291,11 +236,7 @@ func (s *Solver) NewVar() Var {
 func (s *Solver) Reserve(vars, clauses, lits int) {
 	s.ca.data = slices.Grow(s.ca.data, lits+clauses*claHdrWords)
 	s.clauses = slices.Grow(s.clauses, clauses)
-	if s.opts.NaivePropagation {
-		s.occs = slices.Grow(s.occs, 2*vars)
-	} else {
-		s.pendingWatch = slices.Grow(s.pendingWatch, clauses)
-	}
+	s.pendingWatch = slices.Grow(s.pendingWatch, clauses)
 	s.assigns = slices.Grow(s.assigns, vars)
 	s.level = slices.Grow(s.level, vars)
 	s.reason = slices.Grow(s.reason, vars)
@@ -433,11 +374,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	if !s.opts.DisableSimp && s.mentionsUnfrozen(out) {
 		s.simpGrowth++
 	}
-	if s.opts.NaivePropagation {
-		s.attach(c)
-	} else {
-		s.pendingWatch = append(s.pendingWatch, c)
-	}
+	s.pendingWatch = append(s.pendingWatch, c)
 	return true
 }
 
@@ -511,12 +448,6 @@ func (s *Solver) buildWatches(lists ...[]cref) {
 
 func (s *Solver) attach(c cref) {
 	lits := s.ca.lits(c)
-	if s.opts.NaivePropagation {
-		for _, l := range lits {
-			s.occs[l] = append(s.occs[l], c)
-		}
-		return
-	}
 	// Watch the first two literals; the watch list for a literal holds
 	// clauses in which that literal is watched, visited when it goes false.
 	s.watches[lits[0]] = append(s.watches[lits[0]], mkWatcher(c, lits[1]))
@@ -565,9 +496,7 @@ func (s *Solver) cancelUntil(lvl int32) {
 	for i := len(s.trail) - 1; i >= int(bound); i-- {
 		l := s.trail[i]
 		v := l.Var()
-		if !s.opts.DisablePhaseSaving {
-			s.polarity[v] = l.Neg()
-		}
+		s.polarity[v] = l.Neg()
 		s.assigns[v] = lUndef
 		s.reason[v] = crefUndef
 		s.order.push(v)
@@ -633,8 +562,8 @@ func (s *Solver) maybeGC() {
 // reason column, and the watch lists (purging watchers of dead clauses on
 // the way). Each moved clause leaves a forwarding address in its old
 // header, so a clause reachable from several places is copied once.
-// Offsets change but list order does not, which is what keeps replay
-// (CloneWithOptions) and the deterministic-output guarantees stable.
+// Offsets change but list order does not, which is what keeps the
+// deterministic-output guarantees stable.
 func (s *Solver) garbageCollect() {
 	old := s.ca
 	to := clauseDB{data: make([]Lit, 0, len(old.data)-old.wasted)}
@@ -698,18 +627,6 @@ func (s *Solver) garbageCollect() {
 		}
 	}
 	s.pendingWatch = pend
-	if s.opts.NaivePropagation {
-		for i := range s.occs {
-			occ := s.occs[i]
-			out := occ[:0]
-			for _, c := range occ {
-				if n := reloc(c); n != crefUndef {
-					out = append(out, n)
-				}
-			}
-			s.occs[i] = out
-		}
-	}
 
 	s.ca = to
 	s.Stats.ArenaGCs++

@@ -13,7 +13,7 @@ import (
 
 // latencyBuckets are the histogram upper bounds in seconds, chosen for a
 // workload spanning sub-millisecond warm cache hits to multi-second cold
-// portfolio solves.
+// solves.
 var latencyBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
 // histogram is a fixed-bucket latency histogram in Prometheus's
@@ -171,7 +171,6 @@ func (m *metrics) fedBreaker(peer string, st feder.BreakerState) {
 type scrape struct {
 	queueDepth, queueCap, workers int
 	reuse                         muppet.ReuseStats
-	portfolio                     []muppet.WorkerStats
 	tenants                       []tenantScrape
 	budgetBytes                   int64
 	idleBytes                     int64
@@ -193,7 +192,7 @@ type tenantScrape struct {
 // the daemon dependency-free.
 func (m *metrics) write(w io.Writer, sc scrape) {
 	queueDepth, queueCap, workers := sc.queueDepth, sc.queueCap, sc.workers
-	reuse, portfolio := sc.reuse, sc.portfolio
+	reuse := sc.reuse
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
@@ -339,15 +338,6 @@ func (m *metrics) write(w io.Writer, sc scrape) {
 	fmt.Fprintln(w, "# HELP muppetd_solver_restored_total Variables un-eliminated because an incremental addition touched them, across live sessions.")
 	fmt.Fprintln(w, "# TYPE muppetd_solver_restored_total counter")
 	fmt.Fprintf(w, "muppetd_solver_restored_total %d\n", reuse.Encoding.Restored)
-
-	if len(portfolio) > 0 {
-		fmt.Fprintln(w, "# HELP muppetd_portfolio_worker_conflicts Conflicts per portfolio worker in the most recent portfolio solve.")
-		fmt.Fprintln(w, "# TYPE muppetd_portfolio_worker_conflicts gauge")
-		for _, pw := range portfolio {
-			fmt.Fprintf(w, "muppetd_portfolio_worker_conflicts{worker=%q,winner=\"%t\"} %d\n",
-				pw.Name, pw.Winner, pw.Stats.Conflicts)
-		}
-	}
 
 	fmt.Fprintln(w, "# HELP muppetd_tenants Tenants currently registered.")
 	fmt.Fprintln(w, "# TYPE muppetd_tenants gauge")

@@ -319,9 +319,6 @@ func (s *Server) scrape() scrape {
 			ID: ent.ID, Revision: ent.Revision, Reloads: s.registry.Reloads(ent.ID), Pool: ps,
 		})
 		sc.reuse.Add(ps.Reuse)
-		if ps.Workers != nil {
-			sc.portfolio = ps.Workers
-		}
 	}
 	return sc
 }

@@ -85,7 +85,6 @@ type idleCache struct {
 	bytes    int64
 	lastUsed int64
 	stats    muppet.ReuseStats
-	workers  []muppet.WorkerStats
 }
 
 // CachePool is one tenant's pool of warm solving caches. Checkout hands
@@ -153,7 +152,6 @@ func (p *CachePool) Checkin(c *muppet.SolveCache) {
 	// Stats/ApproxBytes walk every live session.
 	bytes := c.ApproxBytes()
 	stats := c.Stats()
-	workers := c.Workers()
 
 	l := p.ledger
 	l.mu.Lock()
@@ -164,7 +162,7 @@ func (p *CachePool) Checkin(c *muppet.SolveCache) {
 	}
 	l.clock++
 	p.free = append(p.free, &idleCache{
-		cache: c, bytes: bytes, lastUsed: l.clock, stats: stats, workers: workers,
+		cache: c, bytes: bytes, lastUsed: l.clock, stats: stats,
 	})
 	l.total += bytes
 	l.evictLocked()
@@ -241,9 +239,6 @@ type PoolStats struct {
 	// caches, including ones already dropped (so counters stay
 	// monotonic across evictions).
 	Reuse muppet.ReuseStats
-	// Workers is the most recent portfolio-solve worker report seen at a
-	// checkin, nil when solves have been sequential.
-	Workers []muppet.WorkerStats
 }
 
 // Stats snapshots the pool.
@@ -262,9 +257,6 @@ func (p *CachePool) Stats() PoolStats {
 	for _, ic := range p.free {
 		st.Bytes += ic.bytes
 		st.Reuse.Add(ic.stats)
-		if ic.workers != nil {
-			st.Workers = ic.workers
-		}
 	}
 	return st
 }

@@ -149,12 +149,11 @@ const (
 	StopMaxSolves    = target.StopMaxSolves
 )
 
-// Incremental reuse and parallel solving. A SolveCache keeps live solving
-// sessions across workflow calls (negotiation rounds, conformance retries,
-// repeated checks), turning them into incremental solves; the portfolio
-// width races diversified solver configurations inside each solve. Both
-// are performance features only: verdicts, models' validity, and blame
-// cores are identical with or without them.
+// Incremental reuse. A SolveCache keeps live solving sessions across
+// workflow calls (negotiation rounds, conformance retries, repeated
+// checks), turning them into incremental solves. It is a performance
+// feature only: verdicts, models' validity, and blame cores are identical
+// with or without it.
 type (
 	// SolveCache serves the workflow queries from live, reusable solving
 	// sessions. Single-goroutine; use one per worker (see FanOut).
@@ -164,8 +163,6 @@ type (
 	ReuseStats = core.ReuseStats
 	// TranslationStats counts formula-translation cache hits and misses.
 	TranslationStats = relational.CacheStats
-	// WorkerStats reports one portfolio worker's outcome and search stats.
-	WorkerStats = sat.WorkerStats
 )
 
 // NewSolveCache creates an empty solving-session cache.
@@ -200,20 +197,11 @@ func CompareRevisions(old, new *DeltaRevision) *DeltaPlan {
 	return delta.Compare(old, new)
 }
 
-// SetPortfolioWorkers sets the package-wide portfolio width for workflow
-// solves and returns the previous value: n > 1 races n diversified solver
-// configurations per solve, n ≤ 1 solves sequentially. Safe to call
-// concurrently with running queries.
-func SetPortfolioWorkers(n int) int { return core.SetPortfolioWorkers(n) }
-
-// PortfolioWorkers reports the current portfolio width.
-func PortfolioWorkers() int { return core.PortfolioWorkers() }
-
 // Encoding is the package-wide encoding-pipeline configuration: the zero
 // value (polarity-aware Tseitin, AIG sweeping, CNF preprocessing all on)
-// is the default; the switches are ablation/escape hatches. Like the
-// portfolio width, changing it never changes verdicts, model validity, or
-// blame cores — only encoding size and speed.
+// is the default; the switches are ablation/escape hatches. Changing it
+// never changes verdicts, model validity, or blame cores — only encoding
+// size and speed.
 type Encoding = core.Encoding
 
 // EncodingStats sizes the encoding pipeline across a SolveCache's live
